@@ -1,8 +1,9 @@
 """Model checking of consensus specifications.
 
 ``check_consensus_exhaustive`` walks the *entire* reachable configuration
-graph of a protocol (all processes enabled, all interleavings) and checks
-at every configuration:
+graph of a protocol (all processes enabled, all interleavings) through
+:class:`~repro.analysis.explorer.Explorer` and checks at every
+configuration:
 
 * **Agreement** (or k-agreement): at most ``k`` distinct decided values;
 * **Validity**: every decided value is some process's input;
@@ -21,11 +22,10 @@ where exhaustive checking is out of reach.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Sequence
 
-from repro.errors import ExplorationLimitError
+from repro.analysis.explorer import Explorer
 from repro.model.configuration import Configuration
 from repro.model.schedule import Schedule, random_bursty_schedule
 from repro.model.system import System
@@ -93,73 +93,63 @@ def check_consensus_exhaustive(
     max_configs: int = 500_000,
     check_solo: bool = False,
     solo_step_bound: int = 10_000,
-    stop_at_first: bool = True,
     strict: bool = True,
+    kernel: str = "compiled",
 ) -> CheckResult:
     """Exhaustively check (k-set) agreement + validity for one input vector.
 
-    Raises :class:`ExplorationLimitError` when the reachable graph (after
-    the protocol's canonical abstraction) exceeds ``max_configs``.  With
-    ``strict=False`` the budget overrun instead ends the search: the
-    result reports no violation among the configurations visited, with
-    ``exhaustive=False`` and an explanatory note (bounded verification).
+    The check is a pop-time invariant of :class:`Explorer`'s all-pids
+    BFS: every configuration is judged when it is popped, in FIFO
+    order, before it is expanded, so the first violation reported is
+    the one on the earliest-discovered violating configuration and
+    ``configs_visited`` is the discovered count at that pop.
+    ``kernel`` selects the exploration engine exactly as for
+    :class:`Explorer` (systems the compiled kernel cannot run fall back
+    to the interpreter, recorded in ``kernel.fallback.*``); both give
+    the same result field for field.
+
+    Raises :class:`~repro.errors.ExplorationLimitError` when the
+    reachable graph (after the protocol's canonical abstraction) exceeds
+    ``max_configs``.  With ``strict=False`` the budget overrun instead
+    ends the search: the result reports no violation among the
+    configurations visited, with ``exhaustive=False`` and an explanatory
+    note (bounded verification).
     """
-    protocol = system.protocol
-    root = system.initial_configuration(inputs)
-    root_key = protocol.canonical_key(root)
-    parents: Dict[Hashable, Optional[Tuple[Hashable, int]]] = {root_key: None}
-    queue = deque([(root, root_key)])
-    result = CheckResult(ok=True)
-    all_pids = range(protocol.n)
+    allowed = frozenset(inputs)
 
-    def path_to(key: Hashable) -> Schedule:
-        steps: List[int] = []
-        cursor = parents[key]
-        while cursor is not None:
-            parent_key, pid = cursor
-            steps.append(pid)
-            cursor = parents[parent_key]
-        steps.reverse()
-        return tuple(steps)
+    def violated(decided, config_of) -> bool:
+        if len(decided) > k or not decided <= allowed:
+            return True
+        return check_solo and bool(
+            _solo_violations(system, config_of(), (), solo_step_bound)
+        )
 
-    while queue:
-        config, key = queue.popleft()
-        found = _config_violations(system, config, inputs, path_to(key), k)
-        if check_solo and not found:
-            found.extend(
-                _solo_violations(system, config, path_to(key), solo_step_bound)
-            )
-        if found:
-            result.violations.extend(found)
-            result.ok = False
-            if stop_at_first:
-                result.configs_visited = len(parents)
-                return result
-        for pid in all_pids:
-            if not system.enabled(config, pid):
-                continue
-            succ, _ = system.step(config, pid)
-            succ_key = protocol.canonical_key(succ)
-            if succ_key in parents:
-                continue
-            parents[succ_key] = (key, pid)
-            if len(parents) > max_configs:
-                if strict:
-                    raise ExplorationLimitError(
-                        f"reachable graph exceeds {max_configs} "
-                        "configurations",
-                        visited=len(parents),
-                    )
-                result.configs_visited = len(parents)
-                result.note = (
-                    f"bounded verification: no violation within the first "
-                    f"{max_configs} configurations (graph not exhausted)"
-                )
-                return result
-            queue.append((succ, succ_key))
-
-    result.configs_visited = len(parents)
-    result.exhaustive = True
+    explorer = Explorer(
+        system, max_configs=max_configs, strict=strict, kernel=kernel
+    )
+    try:
+        explored = explorer.explore(
+            system.initial_configuration(inputs),
+            range(system.protocol.n),
+            invariant=violated,
+        )
+    finally:
+        explorer.close()
+    result = CheckResult(
+        ok=explored.violation is None,
+        configs_visited=explored.visited,
+        exhaustive=explored.complete,
+    )
+    if explored.violation is not None:
+        config, schedule = explored.violation
+        result.violations = _config_violations(
+            system, config, inputs, schedule, k
+        ) or _solo_violations(system, config, schedule, solo_step_bound)
+    elif explored.truncated:
+        result.note = (
+            f"bounded verification: no violation within the first "
+            f"{max_configs} configurations (graph not exhausted)"
+        )
     return result
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
 
 from repro.errors import ExplorationLimitError
 from repro.model.configuration import Configuration
@@ -60,6 +60,9 @@ BRANCHING_EDGES = (0, 1, 2, 3, 4, 6, 8, 12, 16, 32)
 
 #: Default budget on distinct canonical configurations per exploration.
 DEFAULT_MAX_CONFIGS = 200_000
+
+#: A pop-time invariant: (decided values, configuration thunk) -> violated?
+Invariant = Callable[[FrozenSet[Hashable], Callable[[], Configuration]], bool]
 
 
 def reconstruct_path(
@@ -97,7 +100,10 @@ class ExplorationResult:
     whole reachable graph was exhausted; when a ``stop_when`` target was
     hit early, or the depth bound truncated the frontier, the graph may
     be incomplete but ``decided`` is still sound for the values it
-    contains.
+    contains.  ``violation`` is the first popped configuration an
+    ``invariant`` rejected, with its schedule from the root; the search
+    stopped there, and ``visited`` counts the configurations discovered
+    by then.
     """
 
     root: Configuration
@@ -106,6 +112,7 @@ class ExplorationResult:
     visited: int = 0
     complete: bool = False
     truncated: bool = False
+    violation: Optional[Tuple[Configuration, Schedule]] = None
 
     def can_decide(self, value: Hashable) -> bool:
         return value in self.decided
@@ -225,6 +232,7 @@ class Explorer:
         root: Configuration,
         pids: FrozenSet[int] | Tuple[int, ...],
         stop_when: Optional[FrozenSet[Hashable]] = None,
+        invariant: Optional[Invariant] = None,
     ) -> ExplorationResult:
         """BFS over P-only steps from ``root``.
 
@@ -232,6 +240,14 @@ class Explorer:
         in the set has been found decidable (early exit for bivalence
         queries).  Without it, the reachable graph is exhausted up to the
         configured budgets.
+
+        ``invariant``: if given, it is evaluated on every *popped*
+        configuration, in FIFO order, before that configuration is
+        expanded.  It receives the configuration's decided values and a
+        zero-argument callable returning the configuration itself (the
+        compiled kernel unpacks its row only when that is called), and
+        returns True on a violation.  The search then stops and reports
+        the configuration and its schedule in ``result.violation``.
 
         In strict mode, raises :class:`ExplorationLimitError` if the
         number of distinct canonical configurations exceeds the budget
@@ -253,6 +269,7 @@ class Explorer:
                     budget=self.budget,
                     por=self.por,
                     engine=self.engine,
+                    invariant=invariant,
                 )
         system = self.system
         protocol = system.protocol
@@ -322,7 +339,7 @@ class Explorer:
 
         def finish(complete: bool) -> ExplorationResult:
             result.decided = {
-                v: self._path(parents, k) for v, k in found.items()
+                v: reconstruct_path(parents, k) for v, k in found.items()
             }
             result.visited = len(parents)
             result.complete = complete and not result.truncated
@@ -365,6 +382,11 @@ class Explorer:
             config, key, depth, via = queue.popleft()
             if self.budget is not None:
                 self.budget.tick()
+            if invariant is not None and invariant(
+                decided_of(config), lambda: config
+            ):
+                result.violation = (config, reconstruct_path(parents, key))
+                return finish(complete=False)
             if self.max_depth is not None and depth >= self.max_depth:
                 result.truncated = True
                 continue
@@ -416,14 +438,6 @@ class Explorer:
             branching_h.observe(branch)
 
         return finish(complete=True)
-
-    @staticmethod
-    def _path(
-        parents: Dict[Hashable, Optional[Tuple[Hashable, int]]],
-        key: Hashable,
-    ) -> Schedule:
-        """Reconstruct the schedule from the root to ``key``."""
-        return reconstruct_path(parents, key)
 
     def reachable_count(
         self, root: Configuration, pids: FrozenSet[int] | Tuple[int, ...]

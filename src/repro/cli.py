@@ -305,7 +305,8 @@ def cmd_check(args) -> int:
     inputs = [0] + [1] * (n - 1)
     k = getattr(protocol, "k", 1)
     result = check_consensus_exhaustive(
-        system, inputs, k=k, max_configs=args.max_configs, strict=False
+        system, inputs, k=k, max_configs=args.max_configs, strict=False,
+        kernel=args.kernel,
     )
     mode = "exhaustive" if result.exhaustive else "bounded"
     if result.ok:
@@ -340,7 +341,8 @@ def cmd_audit(args) -> int:
         system = System(protocol)
         inputs = [0] + [1] * (protocol.n - 1)
         check = check_consensus_exhaustive(
-            system, inputs, max_configs=args.max_configs, strict=False
+            system, inputs, max_configs=args.max_configs, strict=False,
+            kernel=args.kernel,
         )
         if check.ok:
             verdict = "ok"
@@ -1113,6 +1115,10 @@ def _add_parallel_flags(p) -> None:
         help="declare a worker wedged (and respawn it) if one shard "
         "takes longer than this",
     )
+    _add_kernel_flag(p)
+
+
+def _add_kernel_flag(p) -> None:
     p.add_argument(
         "--kernel", choices=("compiled", "interp"), default="compiled",
         help="exploration kernel: 'compiled' lowers the protocol to the "
@@ -1350,6 +1356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     p.add_argument("--max-configs", type=int, default=120_000)
     p.add_argument("--random-runs", type=int, default=20)
+    _add_kernel_flag(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_check)
 

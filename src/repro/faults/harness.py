@@ -106,10 +106,10 @@ def run_adversary_guarded(
     deterministic fault plan (:mod:`repro.faults.chaos`), and ``pool``
     shares an externally-owned :class:`repro.parallel.WorkerPool`.
 
-    ``kernel`` selects the oracle's exploration engine
-    (``"compiled"`` = the packed-integer batch kernel of
-    :mod:`repro.kernel`, with automatic recorded fallback to the
-    interpreter where unsupported).  Like ``por`` and ``workers`` it is
+    ``kernel`` selects the exploration engine of the oracle and of the
+    fallback violation hunt (``"compiled"`` = the packed-integer batch
+    kernel of :mod:`repro.kernel`, with automatic recorded fallback to
+    the interpreter where unsupported).  Like ``por`` and ``workers`` it is
     transparent to the three-outcome contract: certificates, violation
     witnesses and partial-progress reports are bit-identical.
 
@@ -234,7 +234,7 @@ def run_adversary_guarded(
             # broken (hunt a concrete violation) or the oracle budgets
             # misled the construction (report partial progress for a
             # bigger-budget retry).
-            found = find_violation(system)
+            found = find_violation(system, kernel=kernel)
             if found is not None:
                 outcome_event(
                     "violation",
@@ -260,19 +260,22 @@ def find_violation(
     system: System,
     inputs: Optional[Sequence[Hashable]] = None,
     max_configs: int = 60_000,
+    kernel: str = "compiled",
 ) -> Optional[ViolationError]:
     """Hunt a consensus violation; returns a replayable ViolationError.
 
     Bounded exhaustive search over the protocol's reachable graph for
     the canonical mixed-input assignment; the returned error's witness
-    is the checker's schedule from the initial configuration.
+    is the checker's schedule from the initial configuration.  ``kernel``
+    selects the checker's exploration engine (same result either way).
     """
     protocol = system.protocol
     if inputs is None:
         inputs = [0] + [1] * (protocol.n - 1)
     k = getattr(protocol, "k", 1)
     result = check_consensus_exhaustive(
-        system, inputs, k=k, max_configs=max_configs, strict=False
+        system, inputs, k=k, max_configs=max_configs, strict=False,
+        kernel=kernel,
     )
     violation = result.first_violation()
     if violation is None:

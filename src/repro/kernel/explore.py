@@ -141,14 +141,18 @@ def _hot_expand(
     max_depth,
     max_configs,
     strict,
+    violates,
     ctr,
 ):
-    """Expand the whole frontier; returns "done"/"stopped"/"limit".
+    """Expand the whole frontier; returns "done"/"stopped"/"limit"/"violated".
 
-    ``ctr`` accumulates [edges, dedup, pruned, truncated, pops] so the
-    caller can flush metrics exactly once (including on a raise, where
-    the interpreted loop's incremental counter updates are also already
-    committed).  Order of operations per popped record and per pid
+    ``ctr`` accumulates [edges, dedup, pruned, truncated, pops,
+    violated lid] so the caller can flush metrics exactly once
+    (including on a raise, where the interpreted loop's incremental
+    counter updates are also already committed).  ``violates`` is the
+    optional pop-time invariant over the popped row: when it fires, the
+    popped record's log id lands in ``ctr[5]`` and the frontier is left
+    unexpanded.  Order of operations per popped record and per pid
     mirrors ``Explorer.explore`` statement for statement.
     """
     log_get = log.get
@@ -165,12 +169,15 @@ def _hot_expand(
         qi += 1
         if budget is not None:
             budget.tick()
+        row = row_get(entry & mask)
+        if violates is not None and violates(row):
+            ctr[5] = qi - 1
+            return "violated"
         depth = (entry >> 64) & mask
         if max_depth is not None and depth >= max_depth:
             ctr[3] = 1
             continue
         ctr[4] += 1
-        row = row_get(entry & mask)
         via_pid = (entry >> 96) & 0xFFFF
         via_tok = (entry >> 112) & 0xFFFF
         commute_row = commute[via_tok]
@@ -299,6 +306,7 @@ class KernelExplorer:
         budget=None,
         por: bool = False,
         engine=None,
+        invariant=None,
     ) -> ExplorationResult:
         program = self.program
         codec = program.codec
@@ -316,7 +324,8 @@ class KernelExplorer:
         branching_h = metrics.histogram("explorer.branching", BRANCHING_EDGES)
         level_sizes = {0: 1}
         branch_counts: dict = {}
-        ctr = [0, 0, 0, 0, 0]  # edges, dedup, pruned, truncated, pops
+        # edges, dedup, pruned, truncated, pops, violated lid
+        ctr = [0, 0, 0, 0, 0, 0]
 
         space = self.space(pid_set)
         store = space.store
@@ -355,9 +364,29 @@ class KernelExplorer:
                 if value is not None and value not in found:
                     found[value] = 0
 
+        violates = None
+        if invariant is not None:
+            fmask = codec.field_mask
+            unpack = codec.unpack
+
+            def violates(row: int) -> bool:
+                # n dict probes on the decision tables; the row is
+                # unpacked only if the invariant asks for the
+                # configuration itself.
+                decided = set()
+                for pid in all_pids:
+                    value = decisions[pid].get((row >> state_shifts[pid]) & fmask)
+                    if value is not None:
+                        decided.add(value)
+                return invariant(frozenset(decided), lambda: unpack(row))
+
         def finish(outcome: str) -> ExplorationResult:
             for value, lid in found.items():
                 result.decided[value] = _schedule_of(log, lid)
+            if outcome == "violated":
+                lid = ctr[5]
+                row = store.get(log.get(lid) & FIELD_MASK)
+                result.violation = (codec.unpack(row), _schedule_of(log, lid))
             result.visited = len(parents)
             result.complete = outcome == "done" and not result.truncated
             metrics.counter("explorer.explorations").inc()
@@ -424,6 +453,7 @@ class KernelExplorer:
                 max_depth,
                 max_configs,
                 strict,
+                violates,
                 ctr,
             )
             result.truncated = bool(ctr[3])

@@ -33,6 +33,14 @@ from repro.errors import ServiceError
 #: Cap on request bodies; a protocol spec plus params is tiny.
 MAX_BODY_BYTES = 1 << 20
 
+#: How much of a refused oversized body is read and discarded before
+#: the 400 goes out, and for how long.  Unread bytes left in the socket
+#: when it closes make the kernel reset the connection, and the client
+#: then sees a broken pipe instead of the refusal; the time bound keeps
+#: a client that stalls mid-body from holding the handler thread.
+MAX_DRAIN_BYTES = 8 * MAX_BODY_BYTES
+DRAIN_TIMEOUT_S = 5.0
+
 
 class ServiceHandler(BaseHTTPRequestHandler):
     """Routes requests to the owning :class:`ServiceServer`'s queue."""
@@ -50,18 +58,40 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _body(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)
         if length > MAX_BODY_BYTES:
+            self._discard_body(length)
             raise ServiceError(f"request body over {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b"{}"
         try:
             return json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceError(f"request body is not JSON: {exc}")
+
+    def _discard_body(self, length: int) -> None:
+        """Drain a refused body (up to a bound) and end the connection.
+
+        The reply then carries ``Connection: close``: whatever the
+        client sent past the drained part must never be parsed as its
+        next request on this kept-alive connection.
+        """
+        self.close_connection = True
+        remaining = min(length, MAX_DRAIN_BYTES)
+        self.connection.settimeout(DRAIN_TIMEOUT_S)
+        try:
+            while remaining > 0:
+                chunk = self.rfile.read(min(remaining, 1 << 16))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
+        except OSError:
+            pass  # stalled or gone: answer (if still possible) and close
 
     # -- routes ---------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming

@@ -50,15 +50,17 @@ def result_fingerprint(result):
 
 
 def explore_with(protocol, kernel, *, inputs, por=False, engine=None,
-                 stop_when=None, max_configs=50_000):
+                 stop_when=None, max_configs=50_000, max_depth=None,
+                 invariant=None):
     system = fresh_system(protocol)
     explorer = Explorer(
-        system, max_configs=max_configs, strict=False, por=por,
-        kernel=kernel, engine=engine,
+        system, max_configs=max_configs, max_depth=max_depth, strict=False,
+        por=por, kernel=kernel, engine=engine,
     )
     root = system.initial_configuration(inputs)
     result = explorer.explore(
-        root, frozenset(range(protocol.n)), stop_when=stop_when
+        root, frozenset(range(protocol.n)), stop_when=stop_when,
+        invariant=invariant,
     )
     explorer.close()
     return result
@@ -105,6 +107,40 @@ def test_compiled_stop_when_is_bit_identical(protocol, value):
         protocol, "compiled", inputs=inputs, stop_when=target
     )
     assert result_fingerprint(compiled) == result_fingerprint(interp)
+
+
+@given(
+    protocol=table_protocols(),
+    value=st.sampled_from(VALUES),
+    por=st.booleans(),
+    max_depth=st.sampled_from([None, 2, 4]),
+)
+@DIFFERENTIAL
+def test_compiled_invariant_violation_is_bit_identical(
+    protocol, value, por, max_depth
+):
+    # The pop-time invariant fires on the same popped configuration in
+    # both kernels -- also under POR and on depth-truncated pops -- and
+    # the kernel's unpacked row equals the interpreter's configuration.
+    inputs = [0, 1] + [0] * (protocol.n - 2)
+
+    def decided_value(decided, config_of):
+        return value in decided and config_of() is not None
+
+    interp, compiled = (
+        explore_with(
+            protocol, kernel, inputs=inputs, por=por, max_depth=max_depth,
+            invariant=decided_value,
+        )
+        for kernel in ("interp", "compiled")
+    )
+    assert result_fingerprint(compiled) == result_fingerprint(interp)
+    assert compiled.violation == interp.violation
+    if interp.violation is not None:
+        config, schedule = interp.violation
+        final, _ = fresh_system(protocol).run(interp.root, schedule)
+        assert final == config
+        assert value in fresh_system(protocol).decided_values(config)
 
 
 @given(protocol=table_protocols(), inputs_seed=st.integers(0, 7))

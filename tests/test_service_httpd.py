@@ -6,13 +6,16 @@ server code directly (the subprocess daemon tests exercise the same
 routes end-to-end but outside the coverage tracer's reach).
 """
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.service import JobQueue, ResultLedger
+from repro.service import httpd
 from repro.service.httpd import MAX_BODY_BYTES, ServiceServer, _query_param
 
 
@@ -123,6 +126,48 @@ class TestRefusals:
         )
         assert code == 400
         assert "body over" in body["error"]
+
+    def test_client_recovers_after_oversized_refusal(self, server):
+        # One kept-alive HTTP/1.1 client: the refusal must arrive as a
+        # 400 that closes the connection, and the client's next request
+        # must be answered normally, not parsed out of the leftover body.
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_port, timeout=10
+        )
+        try:
+            conn.request(
+                "POST", "/jobs", body=b" " * (MAX_BODY_BYTES + 1),
+                headers={"Content-Type": "application/json"},
+            )
+            refused = conn.getresponse()
+            assert refused.status == 400
+            assert refused.getheader("Connection") == "close"
+            assert "body over" in json.loads(refused.read())["error"]
+            conn.request("GET", "/health")
+            health = conn.getresponse()
+            assert health.status == 200
+            assert json.loads(health.read())["ok"] is True
+        finally:
+            conn.close()
+
+    def test_stalled_oversized_body_is_refused_in_bounded_time(
+        self, server, monkeypatch
+    ):
+        # The drain is bounded in time too: a client that declares a huge
+        # body and stops sending still gets its 400 and a closed socket.
+        monkeypatch.setattr(httpd, "DRAIN_TIMEOUT_S", 0.2)
+        head = (
+            f"POST /jobs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n{{"
+        ).encode()
+        with socket.create_connection(
+            ("127.0.0.1", server.server_port), timeout=10
+        ) as sock:
+            sock.sendall(head)
+            reply = sock.makefile("rb").read()
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        assert b"body over" in rest
 
 
 def test_query_param_parsing():
