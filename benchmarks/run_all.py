@@ -5,7 +5,8 @@
 
 ``--quick`` caps the Theorem 1 sweep at n=4 (the full sweep's n=5
 through n=7 rows take from seconds to a minute each even with the
-incremental engine); everything else runs in full.
+incremental engine), the kernel sweeps at n=4 and n=5, and trims the
+repeat counts of the infrastructure benchmarks (E15-E25).
 """
 
 import sys
@@ -30,6 +31,13 @@ import bench_parallel
 import bench_obs
 import bench_lint
 import bench_incremental
+import bench_resilience
+import bench_fuzz
+import bench_kernel
+import bench_absint
+import bench_service
+import bench_check
+import bench_packed
 import bench_ablation_memo
 import bench_ablation_historyless
 import bench_ablation_symmetry
@@ -57,6 +65,13 @@ def main() -> None:
         ("E16", lambda: bench_obs.main(3 if quick else 7)),
         ("E17", lambda: bench_lint.main(3 if quick else 9)),
         ("E18", lambda: bench_incremental.main(3 if quick else 4)),
+        ("E19", lambda: bench_resilience.main(3 if quick else 5)),
+        ("E20", lambda: bench_fuzz.main(4 if quick else 12)),
+        ("E21", lambda: bench_kernel.main(4 if quick else 5, 3 if quick else 5)),
+        ("E22", lambda: bench_absint.main(3 if quick else 9)),
+        ("E23", lambda: bench_service.main(3 if quick else 5)),
+        ("E24", lambda: bench_check.main(1 if quick else 3)),
+        ("E25", lambda: bench_packed.main(5 if quick else 8, 1 if quick else 3)),
         ("ablations A/B", bench_ablation_memo.main),
         ("ablation C", bench_ablation_historyless.main),
         ("ablation D", bench_ablation_symmetry.main),

@@ -681,6 +681,10 @@ def cmd_stats(args) -> int:
         ["spill segments written", counters.get("kernel.spill.segments", 0)],
         ["rows spilled", counters.get("kernel.spill.rows", 0)],
         ["interpreter fallbacks", counters.get("kernel.fallbacks", 0)],
+        ["rows canonicalised packed", counters.get("kernel.canon.packed", 0)],
+        ["rows canonicalised in Python",
+         counters.get("kernel.canon.python", 0)],
+        ["query keys built lazily", counters.get("kernel.canon.lazy_keys", 0)],
     ]
     reasons = sorted(
         name[len("kernel.fallback."):]

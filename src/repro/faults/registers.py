@@ -138,6 +138,16 @@ def corruption_plan(seed: int = 0, rate: float = 0.5) -> RegisterFaultPlan:
     return RegisterFaultPlan(seed=seed, corrupt_rate=rate)
 
 
+#: Attributes :class:`ExactKeyProtocol` defines itself instead of
+#: delegating: every canonical hook and the round-shift tag.
+_EXACT_KEY_OWN = frozenset({
+    "canonical_key",
+    "canonical_query_key",
+    "canonical_query_key_cached",
+    "round_shift_tag",
+})
+
+
 class ExactKeyProtocol:
     """A protocol view with its canonical abstraction disabled.
 
@@ -154,10 +164,7 @@ class ExactKeyProtocol:
         # transition / decision once per step, and a __getattr__ round
         # trip per call costs ~3x on schedule replay (see bench_faults).
         for name in dir(inner):
-            if name.startswith("_") or name in (
-                "canonical_key",
-                "canonical_query_key",
-            ):
+            if name.startswith("_") or name in _EXACT_KEY_OWN:
                 continue
             setattr(self, name, getattr(inner, name))
 
@@ -169,6 +176,12 @@ class ExactKeyProtocol:
 
     def canonical_query_key(self, config, pids):
         return (config, frozenset(pids))
+
+    def canonical_query_key_cached(self, config, pids, cache):
+        return self.canonical_query_key(config, pids)
+
+    #: No round-shift declaration: the keys above are exact.
+    round_shift_tag = None
 
 
 class FaultyMemorySystem(System):

@@ -44,7 +44,7 @@ from typing import List, Optional
 from repro.errors import KernelError, ModelError
 from repro.kernel.codec import FIELD_BITS, NARROW_BITS, PackedCodec
 from repro.model.operations import CoinFlip, Marker
-from repro.model.process import Protocol
+from repro.model.process import Protocol, declares_round_shift
 from repro.model.registers import apply_operation
 from repro.model.system import System
 from repro.model.table import TableProtocol
@@ -143,10 +143,14 @@ class CompiledProgram:
         self.commute: List[List[bool]] = [[True]]
         # Canonical handling: protocols with the default exact canonical
         # key dedup directly on rows (packing is injective w.r.t.
-        # configuration equality); protocols overriding the hooks get a
-        # per-row canonicalisation memo in the explorer's spaces.
+        # configuration equality); protocols whose keys are their
+        # declared round-shift abstraction canonicalise rows with
+        # per-field tables; protocols overriding the hooks get a per-row
+        # canonicalisation memo in the explorer's spaces.
+        self.round_shift = declares_round_shift(protocol)
         self.exact_canonical = (
-            type(protocol).canonical_key is Protocol.canonical_key
+            protocol.round_shift_tag is None
+            and type(protocol).canonical_key is Protocol.canonical_key
             and type(protocol).canonical_query_key
             is Protocol.canonical_query_key
         )

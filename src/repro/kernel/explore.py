@@ -30,9 +30,13 @@ Layout of one exploration:
 The hot loop lives in :func:`_hot_expand`; the ``_hot_`` prefix is a
 contract enforced by ``repro lint --self``: no object-model calls, no
 ``Configuration`` construction, no pack/unpack, no comprehensions --
-per-edge work is shifts, masks, one big-int add and dict probes.  Cold
-paths (plan/effect misses, canonicalisation of novel rows) are the
-``*_miss``/``resolve`` handlers the loop delegates to.
+per-edge work is shifts, masks, one big-int add and dict probes.  Novel
+rows of protocols that declare a round-shift abstraction are
+canonicalised by the equally audited ``_hot_canonicalise`` (per-field
+table probes, see :func:`_packed_admit`).  Cold paths (plan/effect
+misses, table growth, canonicalisation through other protocols' Python
+hooks) are the ``*_miss``/``grow``/``resolve`` handlers the hot code
+delegates to.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from __future__ import annotations
 from typing import FrozenSet, Hashable, Optional, Tuple
 
 from repro.analysis.explorer import BRANCHING_EDGES, ExplorationResult
-from repro.errors import ExplorationLimitError
-from repro.kernel.codec import FIELD_MASK
+from repro.errors import ExplorationLimitError, KernelError
+from repro.kernel.codec import FIELD_BITS, FIELD_MASK
 from repro.kernel.compiler import CompiledProgram
 from repro.kernel.store import RowStore
 from repro.model.configuration import Configuration
@@ -54,6 +58,170 @@ _MISS = object()
 _LOG_WIDTH = 16
 
 
+#: Width of one fragment-id slot in a packed class key.
+_KEY_SLOT = FIELD_BITS
+
+#: Floor-table entry of a part that carries no round (compares above
+#: every int, so the least floor of a row is a plain ``<`` scan).
+_NO_ROUND = float("inf")
+
+
+class _RoundShiftTables:
+    """A protocol's round-shift declaration lowered to per-field tables.
+
+    Shared by every space of one compiled program (floors and fragments
+    do not depend on the process set).  ``state_floors``/``value_floors``
+    are indexed by state/value id and hold the part's least round
+    (``_NO_ROUND`` if none); ``fragments`` maps a base to a pair of
+    lists indexed by state/value id holding the part's fragment id at
+    that base (``None`` until first needed).  Fragment ids intern the
+    protocol's fragments with ``==`` semantics, so equal fragment ids
+    are exactly equal fragments.  Every table is a list over the
+    codec's dense ids; ids interned after a table was last grown raise
+    ``IndexError`` in the hot path, which calls :meth:`grow`.
+    """
+
+    __slots__ = (
+        "protocol",
+        "codec",
+        "state_floors",
+        "value_floors",
+        "fragments",
+        "fragment_ids",
+    )
+
+    def __init__(self, program: CompiledProgram):
+        self.protocol = program.protocol
+        self.codec = program.codec
+        self.state_floors: list = []
+        self.value_floors: list = []
+        self.fragments: dict = {}
+        self.fragment_ids: dict = {}
+
+    def grow(self) -> bool:
+        """Extend every table to the codec's current id ranges; False if
+        they already covered them."""
+        codec = self.codec
+        if len(self.state_floors) == len(codec.states) and len(
+            self.value_floors
+        ) == len(codec.values):
+            return False
+        floor = self.protocol.round_floor
+        for parts, floors in (
+            (codec.states, self.state_floors),
+            (codec.values, self.value_floors),
+        ):
+            for part in parts[len(floors):]:
+                least = floor(part)
+                floors.append(_NO_ROUND if least is None else least)
+        for state_frags, value_frags in self.fragments.values():
+            state_frags.extend([None] * (len(codec.states) - len(state_frags)))
+            value_frags.extend([None] * (len(codec.values) - len(value_frags)))
+        return True
+
+    def base_miss(self, base: int) -> Tuple[list, list]:
+        codec = self.codec
+        tables = ([None] * len(codec.states), [None] * len(codec.values))
+        self.fragments[base] = tables
+        return tables
+
+    def fragment_miss(self, table: list, parts: list, part_id: int, base: int):
+        fragment = self.protocol.round_fragment(parts[part_id], base)
+        fid = self.fragment_ids.get(fragment)
+        if fid is None:
+            fid = len(self.fragment_ids)
+            if fid >> _KEY_SLOT:
+                raise KernelError(
+                    f"round-shift fragments overflowed a {_KEY_SLOT}-bit "
+                    "key slot"
+                )
+            self.fragment_ids[fragment] = fid
+        table[part_id] = fid
+        return fid
+
+
+def _packed_admit(space: "_Space", tables: _RoundShiftTables):
+    """The packed canonicaliser of one space: row -> class id.
+
+    The class key is one int: bit 0 set, then one fragment id per state
+    field and per register field (``_KEY_SLOT`` bits each), then the
+    row's coin fields verbatim.  A row with no round anywhere keys as
+    ``row << 1`` (bit 0 clear): the declared key of such a configuration
+    is the configuration itself.  Equal keys <=> equal declared
+    canonical keys (docs/THEORY.md).
+    """
+    codec = space.program.codec
+    state_shifts = codec.state_shifts
+    mem_shifts = codec.mem_shifts
+    coin_shift = (codec.n + codec.registers) * codec.field_bits
+    fmask = codec.field_mask
+    states = codec.states
+    values = codec.values
+    state_floors = tables.state_floors
+    value_floors = tables.value_floors
+    fragments = tables.fragments
+    grow = tables.grow
+    base_miss = tables.base_miss
+    fragment_miss = tables.fragment_miss
+    alias = space.alias
+    key_to_cid = space.key_to_cid
+    append = space.store.append
+    slot = _KEY_SLOT
+    no_round = _NO_ROUND
+
+    def _hot_canonicalise(row: int) -> int:
+        while True:
+            try:
+                base = no_round
+                for shift in state_shifts:
+                    floor = state_floors[(row >> shift) & fmask]
+                    if floor < base:
+                        base = floor
+                for shift in mem_shifts:
+                    floor = value_floors[(row >> shift) & fmask]
+                    if floor < base:
+                        base = floor
+                if base is no_round:
+                    key = row << 1
+                    break
+                at_base = fragments.get(base)
+                if at_base is None:
+                    at_base = base_miss(base)
+                state_frags = at_base[0]
+                value_frags = at_base[1]
+                key = 1
+                offset = 1
+                for shift in state_shifts:
+                    sid = (row >> shift) & fmask
+                    fid = state_frags[sid]
+                    if fid is None:
+                        fid = fragment_miss(state_frags, states, sid, base)
+                    key |= fid << offset
+                    offset += slot
+                for shift in mem_shifts:
+                    vid = (row >> shift) & fmask
+                    fid = value_frags[vid]
+                    if fid is None:
+                        fid = fragment_miss(value_frags, values, vid, base)
+                    key |= fid << offset
+                    offset += slot
+                key |= (row >> coin_shift) << offset
+                break
+            except IndexError:
+                # An id interned since the tables last grew (anything
+                # else is a genuine error).
+                if not grow():
+                    raise
+        cid = key_to_cid.get(key)
+        if cid is None:
+            cid = append(row)
+            key_to_cid[key] = cid
+        alias[row] = cid
+        return cid
+
+    return _hot_canonicalise
+
+
 class _Space:
     """Per-process-set visited arena, persistent across explorations."""
 
@@ -63,15 +231,29 @@ class _Space:
         "store",
         "alias",
         "key_to_cid",
-        "cid_keys",
+        "keys",
+        "lazy_keys",
         "fragments",
+        "canonicalise",
     )
 
-    def __init__(self, program: CompiledProgram, pid_set: FrozenSet[int]):
+    def __init__(
+        self,
+        program: CompiledProgram,
+        pid_set: FrozenSet[int],
+        tables: Optional[_RoundShiftTables],
+        fragments: dict,
+    ):
         self.program = program
         self.pid_set = pid_set
-        self.fragments: dict = {}
+        self.fragments = fragments
         codec = program.codec
+        #: The packed canonicaliser (round-shift protocols), else None.
+        #: (No bound method of ``self`` is stored: a reference cycle
+        #: would keep every finished space alive until the next cyclic
+        #: collection.)
+        self.canonicalise = None
+        self.lazy_keys = 0
         if program.exact_canonical:
             # Packing is injective w.r.t. configuration equality and the
             # default canonical key is the configuration itself, so rows
@@ -79,23 +261,29 @@ class _Space:
             self.store = RowStore(codec.width_bytes, indexed=True, label="visited")
             self.alias = None
             self.key_to_cid = None
-            self.cid_keys = None
-        else:
-            # Overridden canonical hooks (e.g. CommitAdoptRounds' round
-            # abstraction): novel rows canonicalise through the protocol
-            # once, then alias to their class id forever.
-            self.store = RowStore(codec.width_bytes, indexed=False, label="visited")
-            self.alias = {}
-            self.key_to_cid = {}
-            self.cid_keys = []
+            self.keys = None
+            return
+        # Coarser canonical keys: a novel row canonicalises once, then
+        # aliases to its class id forever.  Round-shift protocols key
+        # classes by packed ints (``_packed_admit``) and build Python
+        # query keys only on demand (:meth:`query_key`); other
+        # overridden hooks (symmetry quotients, k-set templates, fault
+        # wrappers) canonicalise through the protocol in :meth:`resolve`.
+        self.store = RowStore(codec.width_bytes, indexed=False, label="visited")
+        self.alias = {}
+        self.key_to_cid = {}
+        #: Query key per cid (None until built on demand).
+        self.keys: list = []
+        if tables is not None:
+            self.canonicalise = _packed_admit(self, tables)
 
     def resolve(self, row: int) -> int:
-        """Canonicalise a novel row (overridden-canonical protocols).
+        """Canonicalise a novel row through the protocol's Python hook.
 
-        Uses the fragment-memoised ``canonical_query_key_cached`` hook
-        with a space-owned cache: the hook's contract is strict equality
+        Uses the ``canonical_query_key_cached`` hook with an
+        explorer-owned cache: the hook's contract is strict equality
         with ``canonical_query_key``, so the cid mapping is identical to
-        the interpreter's -- just cheaper per novel row.
+        the interpreter's.
         """
         program = self.program
         config = program.codec.unpack(row)
@@ -106,9 +294,32 @@ class _Space:
         if cid is None:
             cid = self.store.append(row)
             self.key_to_cid[key] = cid
-            self.cid_keys.append(key)
+            self.keys.append(key)
         self.alias[row] = cid
         return cid
+
+    def query_key(self, cid: int) -> Hashable:
+        """The class's ``canonical_query_key``, built from its
+        representative row on first request and memoised.
+
+        Every row of a class has the class's query key, so building it
+        from the representative gives exactly the key the class was
+        found under.
+        """
+        keys = self.keys
+        if cid >= len(keys):
+            keys.extend([None] * (cid + 1 - len(keys)))
+        key = keys[cid]
+        if key is None:
+            program = self.program
+            key = program.protocol.canonical_query_key_cached(
+                program.codec.unpack(self.store.get(cid)),
+                self.pid_set,
+                self.fragments,
+            )
+            keys[cid] = key
+            self.lazy_keys += 1
+        return key
 
     def close(self) -> None:
         self.store.close()
@@ -272,6 +483,12 @@ class KernelExplorer:
         self.program = CompiledProgram(system)
         self.system = system
         self._spaces = {}
+        self._tables = (
+            _RoundShiftTables(self.program) if self.program.round_shift else None
+        )
+        # Canonical-key fragment cache shared by every space's Python
+        # keys (Protocol.canonical_query_key_cached).
+        self._fragments: dict = {}
         get_metrics().counter("kernel.compiles").inc()
         get_tracer().event(
             "kernel.compiled",
@@ -285,7 +502,7 @@ class KernelExplorer:
     def space(self, pid_set: FrozenSet[int]) -> _Space:
         sp = self._spaces.get(pid_set)
         if sp is None:
-            sp = _Space(self.program, pid_set)
+            sp = _Space(self.program, pid_set, self._tables, self._fragments)
             self._spaces[pid_set] = sp
         return sp
 
@@ -329,14 +546,16 @@ class KernelExplorer:
 
         space = self.space(pid_set)
         store = space.store
-        if program.exact_canonical:
-            exact = True
+        exact = program.exact_canonical
+        packed = space.canonicalise is not None
+        if exact:
             admit = store.append
             lookup = store.find if store.spilling else store._index.get
         else:
-            exact = False
-            admit = space.resolve
+            admit = space.canonicalise if packed else space.resolve
             lookup = space.alias.get
+            canonicalised0 = len(space.alias)
+            lazy0 = space.lazy_keys
 
         row0 = codec.pack(root)
         gcid0 = lookup(row0)
@@ -407,17 +626,14 @@ class KernelExplorer:
                 truncated=result.truncated,
                 decided=sorted(found, key=repr),
             )
-            if (
-                engine is not None
-                and result.complete
-                and space.cid_keys is not None
-            ):
-                # Overridden-canonical protocols computed query keys on
-                # the way in; hand the exhausted graph to the engine for
-                # frontier reuse, exactly like the interpreted path.
+            if engine is not None and result.complete and not exact:
+                # Hand the exhausted graph to the engine for frontier
+                # reuse, under the same query keys as the interpreted
+                # path (built now for round-shift classes).
+                query_key = space.query_key
                 engine.register_graph(
                     pid_set,
-                    [space.cid_keys[g] for g in parents],
+                    [query_key(g) for g in parents],
                     frozenset(found),
                 )
             return result
@@ -468,4 +684,19 @@ class KernelExplorer:
             pruned_c.inc(ctr[2])
             for branch in branch_counts:
                 branching_h.observe_many(branch, branch_counts[branch])
+            if not exact:
+                # Rows canonicalised on each path (both counters are
+                # reported, so a zero is visible), and Python query keys
+                # built from class representatives.
+                canonicalised = len(space.alias) - canonicalised0
+                metrics.counter("kernel.canon.packed").inc(
+                    canonicalised if packed else 0
+                )
+                metrics.counter("kernel.canon.python").inc(
+                    0 if packed else canonicalised
+                )
+                if packed:
+                    metrics.counter("kernel.canon.lazy_keys").inc(
+                        space.lazy_keys - lazy0
+                    )
             log.close()

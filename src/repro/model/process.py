@@ -48,6 +48,9 @@ class DecidedState:
 
 HALTED = DecidedState(value=None, halted=True)
 
+#: Memo-miss sentinel (``None`` is a legitimate floor).
+_NO_ENTRY = object()
+
 
 def _reconstruct_protocol(cls, args, kwargs):
     """Unpickle hook: rebuild a protocol by re-running its constructor."""
@@ -133,21 +136,87 @@ class Protocol(ABC):
     def num_objects(self) -> int:
         return len(self.object_specs())
 
+    # -- round-shift abstraction ---------------------------------------------
+    #: Head of this protocol's round-shift canonical keys; ``None`` (the
+    #: default) declares no round-shift abstraction.  A protocol that sets
+    #: it also implements :meth:`round_floor` and :meth:`round_fragment`,
+    #: and the canonical hooks below are then built from those two pure
+    #: per-field functions -- which is also what lets the compiled kernel
+    #: canonicalise packed rows with per-field tables (see
+    #: :func:`declares_round_shift` and docs/THEORY.md).
+    round_shift_tag: Optional[str] = None
+
+    def round_floor(self, part: Hashable) -> Optional[int]:
+        """The least round in one process state or register value.
+
+        ``None`` if ``part`` carries no round.  Must be a pure function
+        of ``part``'s value (``==`` parts have equal floors).
+        """
+        return None
+
+    def round_fragment(self, part: Hashable, base: int) -> Hashable:
+        """``part`` with ``base`` subtracted from every round in it.
+
+        The canonical key of a configuration lists the fragments of its
+        process states and register values at the configuration's base
+        (the least floor over all of them).  Must be a pure function of
+        ``(part, base)``.
+        """
+        return part
+
+    def _round_shift_key(self, config: "Configuration", cache: dict) -> Hashable:
+        """The declared round-shift key, memoised per part in ``cache``
+        (a floor memo keyed by part, and one fragment memo per base)."""
+        floors = cache.get("floors")
+        if floors is None:
+            floors = cache["floors"] = {}
+            cache["fragments"] = {}
+        states = config.states
+        memory = config.memory
+        base = None
+        for parts in (states, memory):
+            for part in parts:
+                floor = floors.get(part, _NO_ENTRY)
+                if floor is _NO_ENTRY:
+                    floor = floors[part] = self.round_floor(part)
+                if floor is not None and (base is None or floor < base):
+                    base = floor
+        if base is None:
+            return (self.round_shift_tag, config)
+        memo = cache["fragments"].get(base)
+        if memo is None:
+            memo = cache["fragments"][base] = {}
+        shifted = []
+        for parts in (states, memory):
+            out = []
+            for part in parts:
+                fragment = memo.get(part, _NO_ENTRY)
+                if fragment is _NO_ENTRY:
+                    fragment = memo[part] = self.round_fragment(part, base)
+                out.append(fragment)
+            shifted.append(tuple(out))
+        return (self.round_shift_tag, shifted[0], shifted[1], config.coins)
+
+    # -- canonical keys -------------------------------------------------------
     def canonical_key(self, config: "Configuration") -> Hashable:
         """A key identifying ``config`` up to protocol-declared symmetry.
 
         Explorers and the valency oracle deduplicate configurations by
-        this key.  The default is the configuration itself (exact).  A
-        protocol whose behaviour depends only on an abstraction of the
-        configuration -- e.g. round numbers compared only relatively --
-        may override this with a coarser key, making otherwise infinite
-        reachable graphs finite.  Soundness requirement: configurations
-        with equal keys must be bisimilar (same poised operations up to
-        the abstraction, and transitions preserve key-equality), and
-        decisions must agree.  The test suite checks this on every
-        protocol that overrides the hook (see tests/test_abstraction.py).
+        this key.  The default is the configuration itself (exact), or
+        the declared round-shift key when the protocol sets
+        :attr:`round_shift_tag`.  A protocol whose behaviour depends
+        only on an abstraction of the configuration -- e.g. round
+        numbers compared only relatively -- may override this with a
+        coarser key, making otherwise infinite reachable graphs finite.
+        Soundness requirement: configurations with equal keys must be
+        bisimilar (same poised operations up to the abstraction, and
+        transitions preserve key-equality), and decisions must agree.
+        The test suite checks this on every protocol that overrides the
+        hook (see tests/test_abstraction.py).
         """
-        return config
+        if self.round_shift_tag is None:
+            return config
+        return self._round_shift_key(config, {})
 
     def canonical_query_key(self, config: "Configuration", pids) -> Hashable:
         """A key identifying (configuration, process set) pairs that are
@@ -168,16 +237,17 @@ class Protocol(ABC):
         """:meth:`canonical_query_key`, free to memoise into ``cache``.
 
         The incremental valency engine calls this with an engine-owned
-        mutable dictionary.  A protocol whose canonical key is built
-        from per-process fragments (shifted local states, normalised
-        register entries) may stash those fragments in ``cache`` keyed
-        by hashable sub-inputs, turning the per-configuration
-        normalisation into a handful of dictionary probes.  The contract
-        is strict equality: for every configuration and process set the
-        returned key must equal ``canonical_query_key(config, pids)``
-        (the abstraction test suite checks this on every protocol that
-        overrides the hook).  The default ignores the cache.
+        mutable dictionary.  The contract is strict equality: for every
+        configuration and process set the returned key must equal
+        ``canonical_query_key(config, pids)`` (the abstraction test
+        suite checks this).  When the protocol's keys are exactly its
+        round-shift declaration (:func:`declares_round_shift`), each
+        part's floor and per-base fragment are memoised in ``cache``, so
+        a configuration costs a couple of dictionary probes per field;
+        otherwise the cache is ignored.
         """
+        if declares_round_shift(self):
+            return (self._round_shift_key(config, cache), frozenset(pids))
         return self.canonical_query_key(config, pids)
 
     def describe(self) -> str:
@@ -186,3 +256,22 @@ class Protocol(ABC):
             f"{self.name}: n={self.n}, "
             f"{len(specs)} objects [{', '.join(s.describe() for s in specs)}]"
         )
+
+
+def declares_round_shift(protocol) -> bool:
+    """True iff ``protocol``'s canonical keys are exactly its declared
+    round-shift keys.
+
+    That is: it sets :attr:`Protocol.round_shift_tag` and overrides
+    neither ``canonical_key`` nor ``canonical_query_key``.  Only then may
+    a caller canonicalise through the per-field declaration (the
+    compiled kernel's packed canonicaliser, the cached query-key hook)
+    instead of calling the hooks.
+    """
+    cls = type(protocol)
+    return (
+        getattr(protocol, "round_shift_tag", None) is not None
+        and getattr(cls, "canonical_key", None) is Protocol.canonical_key
+        and getattr(cls, "canonical_query_key", None)
+        is Protocol.canonical_query_key
+    )

@@ -71,9 +71,8 @@ citizen next to the adversary.
 
 from __future__ import annotations
 
-from typing import Hashable, Tuple
+from typing import Hashable, Optional, Tuple
 
-from repro.model.configuration import Configuration
 from repro.model.program import (
     ProcState,
     ProgramBuilder,
@@ -225,122 +224,46 @@ class CommitAdoptRounds(ProgramProtocol):
             },
         )
 
-    def canonical_key(self, config: Configuration) -> Hashable:
-        """Subtract the minimum round from every round in the configuration.
+    #: Round-shift abstraction: the protocol compares rounds only with
+    #: ==, > and max, and advances them only by r := r+1 or by jumping to
+    #: an observed round, so subtracting the least round present from
+    #: every round in a configuration is a bisimulation -- the shifted
+    #: configuration's behaviour is step-for-step identical up to the
+    #: same shift.  (tests/test_abstraction.py checks the commutation of
+    #: shifting and stepping on random executions.)  The rounds live in
+    #: register entries and in a process's ``r``, ``tmp`` and ``scan``.
+    round_shift_tag = "ca-rounds"
 
-        The protocol compares rounds only with ==, > and max, and
-        advances them only by r := r+1 or by jumping to an observed
-        round, so a uniform shift of all rounds is a bisimulation: the
-        shifted configuration's behaviour is step-for-step identical up
-        to the same shift.  (tests/test_abstraction.py checks the
-        commutation of shifting and stepping on random executions.)
-        """
-        rounds = [entry[0] for entry in config.memory if entry is not None]
-        for state in config.states:
-            if isinstance(state, ProcState) and "r" in state.env:
-                env = state.env
-                rounds.append(env["r"])
-                tmp = env.get("tmp")
-                if tmp is not None:
-                    rounds.append(tmp[0])
-                for entry in env.get("scan", ()):
-                    if entry is not None:
-                        rounds.append(entry[0])
-        if not rounds:
-            return ("ca-rounds", config)
-        base = min(rounds)
-        memory = tuple(_shift_entry(entry, base) for entry in config.memory)
-        states = []
-        for state in config.states:
-            if isinstance(state, ProcState) and "r" in state.env:
-                env = dict(state.env)
-                env["r"] = env["r"] - base
-                if env.get("tmp") is not None:
-                    env["tmp"] = _shift_entry(env["tmp"], base)
-                if env.get("scan"):
-                    env["scan"] = tuple(
-                        _shift_entry(entry, base) for entry in env["scan"]
-                    )
-                states.append((state.pc, tuple(sorted(env.items()))))
-            else:
-                states.append(state)
-        return ("ca-rounds", tuple(states), memory, config.coins)
+    def round_floor(self, part: Hashable) -> Optional[int]:
+        if isinstance(part, ProcState):
+            env = part.env
+            if "r" not in env:
+                return None
+            floor = env["r"]
+            tmp = env.get("tmp")
+            if tmp is not None and tmp[0] < floor:
+                floor = tmp[0]
+            for entry in env.get("scan", ()):
+                if entry is not None and entry[0] < floor:
+                    floor = entry[0]
+            return floor
+        if isinstance(part, tuple):
+            return part[0]
+        return None
 
-    def canonical_query_key_cached(
-        self, config: Configuration, pids, cache: dict
-    ) -> Hashable:
-        """:meth:`canonical_key` rebuilt from per-state cached fragments.
-
-        The round shift normalises each process state and each register
-        entry independently once the base (the minimum round present)
-        is known, and reachable graphs revisit the same few thousand
-        process states across hundreds of thousands of configurations.
-        So both the rounds occurring in a state and the state's shifted
-        canonical fragment are memoised in ``cache`` (in nested
-        sub-dictionaries, so the hot probes are keyed on the state's
-        cached hash alone) and the whole normalisation collapses to
-        about a dozen dictionary probes per configuration.  Returns
-        exactly ``(canonical_key(config), frozenset(pids))``, i.e. the
-        value of :meth:`canonical_query_key` (tests/test_abstraction.py
-        checks the equality on random executions).
-        """
-        rounds_memo = cache.get("rounds")
-        if rounds_memo is None:
-            rounds_memo = cache["rounds"] = {}
-            cache["memory"] = {}
-            cache["state"] = {}
-        rounds = [entry[0] for entry in config.memory if entry is not None]
-        proc_states = []
-        for state in config.states:
-            canonical = not (isinstance(state, ProcState) and "r" in state.env)
-            proc_states.append(canonical)
-            if canonical:
-                continue
-            in_state = rounds_memo.get(state)
-            if in_state is None:
-                env = state.env
-                collected = [env["r"]]
-                tmp = env.get("tmp")
-                if tmp is not None:
-                    collected.append(tmp[0])
-                for entry in env.get("scan", ()):
-                    if entry is not None:
-                        collected.append(entry[0])
-                in_state = tuple(collected)
-                rounds_memo[state] = in_state
-            rounds.extend(in_state)
-        if not rounds:
-            return (("ca-rounds", config), frozenset(pids))
-        base = min(rounds)
-        memory_memo = cache["memory"].get(base)
-        if memory_memo is None:
-            memory_memo = cache["memory"][base] = {}
-        memory = memory_memo.get(config.memory)
-        if memory is None:
-            memory = tuple(_shift_entry(entry, base) for entry in config.memory)
-            memory_memo[config.memory] = memory
-        state_memo = cache["state"].get(base)
-        if state_memo is None:
-            state_memo = cache["state"][base] = {}
-        states = []
-        for state, canonical in zip(config.states, proc_states):
-            if canonical:
-                states.append(state)
-                continue
-            fragment = state_memo.get(state)
-            if fragment is None:
-                env = dict(state.env)
-                env["r"] = env["r"] - base
-                if env.get("tmp") is not None:
-                    env["tmp"] = _shift_entry(env["tmp"], base)
-                if env.get("scan"):
-                    env["scan"] = tuple(
-                        _shift_entry(entry, base) for entry in env["scan"]
-                    )
-                fragment = (state.pc, tuple(sorted(env.items())))
-                state_memo[state] = fragment
-            states.append(fragment)
-        return (
-            ("ca-rounds", tuple(states), memory, config.coins),
-            frozenset(pids),
-        )
+    def round_fragment(self, part: Hashable, base: int) -> Hashable:
+        if isinstance(part, ProcState):
+            if "r" not in part.env:
+                return part
+            env = dict(part.env)
+            env["r"] = env["r"] - base
+            if env.get("tmp") is not None:
+                env["tmp"] = _shift_entry(env["tmp"], base)
+            if env.get("scan"):
+                env["scan"] = tuple(
+                    _shift_entry(entry, base) for entry in env["scan"]
+                )
+            return (part.pc, tuple(sorted(env.items())))
+        if isinstance(part, tuple):
+            return _shift_entry(part, base)
+        return part

@@ -19,9 +19,6 @@ chosen tape, so executions stay replay-deterministic.
 
 from __future__ import annotations
 
-from typing import Hashable
-
-from repro.model.configuration import Configuration
 from repro.model.program import ProgramBuilder
 from repro.model.registers import register
 from repro.protocols.consensus.commit_adopt import (
@@ -96,15 +93,13 @@ def _saw_constraint(env) -> bool:
 class RandomizedRounds(CommitAdoptRounds):
     """Binary consensus from n registers with local-coin preferences."""
 
+    round_shift_tag = "randomized"
+
     def __init__(self, n: int):
         # Build via the parent for specs/env, then swap in the coin
-        # program (same register layout, same canonical abstraction).
+        # program (same register layout, same round-shift abstraction;
+        # coin positions already live in ``config.coins``, which the key
+        # includes).
         super().__init__(n, name="randomized-rounds")
         program = _build_coin_program()
         self._programs = tuple([program] * n)
-
-    def canonical_key(self, config: Configuration) -> Hashable:
-        key = super().canonical_key(config)
-        # Coin positions already live in config.coins, which the parent
-        # includes; nothing more to abstract.
-        return ("randomized",) + key[1:] if key[0] == "ca-rounds" else key

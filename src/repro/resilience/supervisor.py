@@ -9,6 +9,13 @@ its task's result with it, and the blocked ``map`` never returns.
   through its private inbox queue; the coordinator records which worker
   holds which task, so a lost worker identifies exactly the shard that
   must be replayed.
+* **Private result channels.**  Each worker reports on its own pipe,
+  and the coordinator waits on every pipe plus every process sentinel
+  (:func:`multiprocessing.connection.wait`).  No lock is shared across
+  processes, so a worker dying at any instruction can tear only its own
+  channel.  (A shared result ``Queue`` has a cross-process write lock;
+  a worker killed while its feeder thread held it wedged every other
+  worker's reports, and ``map`` polled forever.)
 * **Liveness and deadline tracking.**  Every poll cycle checks each
   worker's OS-level liveness (``Process.is_alive`` -- the kernel is the
   heartbeat) and, when ``task_timeout`` is set, the dispatch deadline of
@@ -50,7 +57,6 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import queue as queue_mod
 import time
 from typing import Any, Callable, Dict, List, Optional
 
@@ -60,9 +66,9 @@ from repro.obs.runtime import get_metrics, get_tracer
 #: crashes surface as negative exit codes (signals) or OS-chosen ones.
 KILL_EXIT_CODE = 77
 
-#: Poll granularity of the supervision loop.  ``Queue.get`` wakes as
-#: soon as a result arrives; the timeout only bounds how often liveness
-#: and deadlines are re-checked between results.
+#: Poll granularity of the supervision loop.  The wait wakes as soon as
+#: a result arrives or a worker exits; the timeout only bounds how often
+#: deadlines are re-checked between results.
 DEFAULT_POLL_INTERVAL = 0.05
 
 
@@ -84,7 +90,9 @@ def _picklable_exception(exc: BaseException) -> BaseException:
 def _worker_main(worker_id: int, inbox, results) -> None:
     """The worker loop: serve task envelopes until the ``None`` pill.
 
-    Envelopes are ``(epoch, index, fn, payload, directive)``.  The
+    ``results`` is the write end of this worker's private result pipe;
+    reports are sent synchronously, with no feeder thread and no shared
+    lock.  Envelopes are ``(epoch, index, fn, payload, directive)``.  The
     ``directive`` enacts injected chaos: ``"kill-before"`` /
     ``"kill-after"`` are abrupt deaths (``os._exit``, no cleanup, no
     result report -- exactly what an OOM kill looks like from the
@@ -104,24 +112,33 @@ def _worker_main(worker_id: int, inbox, results) -> None:
         try:
             value = fn(payload)
         except BaseException as exc:  # noqa: BLE001 - reported, not raised
-            results.put(
+            results.send(
                 (worker_id, epoch, index, "error", _picklable_exception(exc))
             )
             continue
         if directive == "kill-after":
             os._exit(KILL_EXIT_CODE)
-        results.put((worker_id, epoch, index, "ok", value))
+        try:
+            results.send((worker_id, epoch, index, "ok", value))
+        except Exception as exc:  # noqa: BLE001 - unpicklable result
+            results.send(
+                (worker_id, epoch, index, "error", _picklable_exception(exc))
+            )
 
 
 class _Worker:
-    """One supervised worker: process handle, inbox, in-flight task."""
+    """One supervised worker: process handle, inbox, result channel,
+    in-flight task."""
 
-    __slots__ = ("worker_id", "process", "inbox", "task", "deadline")
+    __slots__ = ("worker_id", "process", "inbox", "results", "task", "deadline")
 
-    def __init__(self, worker_id: int, process, inbox):
+    def __init__(self, worker_id: int, process, inbox, results):
         self.worker_id = worker_id
         self.process = process
         self.inbox = inbox
+        #: Read end of the worker's result pipe; None once it hit EOF or
+        #: a torn frame (the worker is gone or going).
+        self.results = results
         #: ``(epoch, task_index)`` of the in-flight dispatch, or None.
         self.task: Optional[tuple] = None
         #: Monotonic deadline for the in-flight task, or None.
@@ -165,7 +182,6 @@ class SupervisedPool:
         #: Optional :class:`repro.faults.chaos.ChaosPlan`.
         self.chaos = chaos
         self._ctx = None
-        self._results = None
         self._workers: Dict[int, _Worker] = {}
         self._ids = itertools.count()
         self._epoch = 0
@@ -177,7 +193,6 @@ class SupervisedPool:
     def _ensure_started(self) -> None:
         if self._ctx is None:
             self._ctx = multiprocessing.get_context(self.mp_context)
-            self._results = self._ctx.Queue()
         while len(self._workers) < self.workers and not self._degraded:
             if not self._spawn_one():
                 break
@@ -185,21 +200,29 @@ class SupervisedPool:
     def _spawn_one(self) -> bool:
         """Start one worker; False (and account the failure) if it can't."""
         worker_id = next(self._ids)
+        reader = writer = None
         try:
             inbox = self._ctx.Queue()
+            reader, writer = self._ctx.Pipe(duplex=False)
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(worker_id, inbox, self._results),
+                args=(worker_id, inbox, writer),
                 daemon=True,
             )
             process.start()
         except Exception as exc:  # noqa: BLE001 - spawn failure = shrink
+            for end in (reader, writer):
+                if end is not None:
+                    end.close()
             get_tracer().event(
                 "supervisor.spawn_failed", worker=worker_id, error=str(exc)
             )
             self._note_shrink()
             return False
-        self._workers[worker_id] = _Worker(worker_id, process, inbox)
+        # The child owns the write end now; closing ours lets the read
+        # end see EOF the moment the worker dies.
+        writer.close()
+        self._workers[worker_id] = _Worker(worker_id, process, inbox, reader)
         return True
 
     def _note_shrink(self) -> None:
@@ -216,10 +239,17 @@ class SupervisedPool:
         if kill and worker.process.is_alive():
             worker.process.kill()
         worker.process.join(timeout=self.close_timeout)
+        self._close_channels(worker)
+
+    @staticmethod
+    def _close_channels(worker: _Worker) -> None:
         worker.inbox.close()
         # The feeder thread lives in this process; cancel instead of
         # joining -- the dead worker will never drain its inbox.
         worker.inbox.cancel_join_thread()
+        if worker.results is not None:
+            worker.results.close()
+            worker.results = None
 
     def _replace(self, worker: _Worker, reason: str) -> None:
         """Retire a dead/wedged worker and (maybe) respawn a successor."""
@@ -254,13 +284,8 @@ class SupervisedPool:
                 if worker.process.is_alive():
                     worker.process.kill()
                     worker.process.join(timeout=1.0)
-            worker.inbox.close()
-            worker.inbox.cancel_join_thread()
+            self._close_channels(worker)
         self._workers.clear()
-        if self._results is not None:
-            self._results.close()
-            self._results.cancel_join_thread()
-            self._results = None
         self._ctx = None
 
     def __enter__(self) -> "SupervisedPool":
@@ -268,6 +293,45 @@ class SupervisedPool:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+    # -- results ------------------------------------------------------------
+    @staticmethod
+    def _drain(worker: _Worker) -> List[tuple]:
+        """Every complete report waiting on ``worker``'s channel.
+
+        EOF or a torn frame (the worker died, possibly mid-send) retires
+        the channel; the liveness sweep then recovers the worker's task.
+        """
+        messages: List[tuple] = []
+        channel = worker.results
+        if channel is None:
+            return messages
+        try:
+            while channel.poll():
+                messages.append(channel.recv())
+        except (OSError, EOFError, pickle.UnpicklingError):
+            channel.close()
+            worker.results = None
+        return messages
+
+    def _receive(self) -> List[tuple]:
+        """Wait up to one poll interval for reports or worker exits."""
+        # Imported here, not at module level: processes that never run a
+        # pool (the CLI, the service daemon) need not load it.
+        from multiprocessing.connection import wait
+
+        channels = {
+            worker.results: worker
+            for worker in self._workers.values()
+            if worker.results is not None
+        }
+        sentinels = [worker.process.sentinel for worker in self._workers.values()]
+        messages: List[tuple] = []
+        for ready in wait([*channels, *sentinels], timeout=self.poll_interval):
+            worker = channels.get(ready)
+            if worker is not None:
+                messages.extend(self._drain(worker))
+        return messages
 
     # -- dispatch -----------------------------------------------------------
     def _dispatch(
@@ -313,6 +377,28 @@ class SupervisedPool:
             done[index] = True
             completed += 1
 
+        def accept(messages: List[tuple]) -> None:
+            # Free every reporting worker before raising a task error,
+            # so no worker stays marked busy with a finished task.
+            nonlocal completed
+            error = None
+            for worker_id, repoch, index, status, payload in messages:
+                owner = self._workers.get(worker_id)
+                if owner is not None and owner.task == (repoch, index):
+                    owner.task = None
+                    owner.deadline = None
+                if repoch != epoch or done[index]:
+                    continue
+                if status == "error":
+                    if error is None:
+                        error = payload
+                    continue
+                results[index] = payload
+                done[index] = True
+                completed += 1
+            if error is not None:
+                raise error
+
         while completed < total:
             if self._degraded or not self._workers:
                 for index in pending:
@@ -338,32 +424,15 @@ class SupervisedPool:
                 if done[index]:
                     continue
                 self._dispatch(worker, epoch, index, fn, tasks[index])
-            # Await one result (or time out into a liveness sweep).
-            message = None
-            try:
-                message = self._results.get(timeout=self.poll_interval)
-            except queue_mod.Empty:
-                pass
-            except (OSError, EOFError, pickle.UnpicklingError):
-                # A worker died mid-report and tore the queue frame;
-                # the liveness sweep below recovers the task.
-                pass
-            if message is not None:
-                worker_id, repoch, index, status, payload = message
-                owner = self._workers.get(worker_id)
-                if owner is not None and owner.task == (repoch, index):
-                    owner.task = None
-                    owner.deadline = None
-                if repoch == epoch and not done[index]:
-                    if status == "error":
-                        raise payload
-                    results[index] = payload
-                    done[index] = True
-                    completed += 1
+            # Await reports (or time out into a liveness sweep).
+            accept(self._receive())
             # Liveness + deadline sweep.
             now = time.monotonic()
             for worker in list(self._workers.values()):
                 dead = not worker.process.is_alive()
+                if dead:
+                    # Reports sent just before the exit still count.
+                    accept(self._drain(worker))
                 wedged = (
                     not dead
                     and worker.task is not None

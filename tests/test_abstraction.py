@@ -18,7 +18,12 @@ import random
 import pytest
 
 from repro.model.system import System
-from repro.protocols.consensus import CommitAdoptRounds, KSetPartition
+from repro.protocols.consensus import (
+    CommitAdoptRounds,
+    KSetPartition,
+    RandomizedRounds,
+    shared_register_rounds,
+)
 
 
 def random_configs(protocol, inputs, seed, count, length):
@@ -36,6 +41,25 @@ def random_configs(protocol, inputs, seed, count, length):
             config, _ = system.step(config, rng.choice(live))
         configs.append(config)
     return system, configs
+
+
+#: ``stable_digest(canonical_key(C))[:16]`` of six configurations from
+#: ``random_configs(protocol, inputs, 11, 6, 40)``, as computed before
+#: the keys were rebuilt on the round-shift declaration.
+PINNED_KEY_DIGESTS = [
+    (CommitAdoptRounds(3), [0, 1, 1], [
+        "5720b536983745ec", "d76cdcb3d9734460", "294b8689ec8d973e",
+        "9852b14bed17c491", "497cea9747a425ca", "80c364772d729de0",
+    ]),
+    (RandomizedRounds(2), [0, 1], [
+        "fbe1a821dbd46464", "b8f46027ac2fe2a0", "04e1d606cdc43dcd",
+        "b8f46027ac2fe2a0", "651a6789906a6797", "d79371b1aaf5dc40",
+    ]),
+    (shared_register_rounds(3, 2), [0, 1, 1], [
+        "7440ed50809c6d3d", "dc6a4e6d0ab9baa8", "a35dc8d3a105c243",
+        "0cbabbe537644a3b", "3379f22baad21cfa", "ff619399d73a3a10",
+    ]),
+]
 
 
 class TestShiftAbstraction:
@@ -134,8 +158,12 @@ class TestCachedQueryKey:
         [
             (CommitAdoptRounds(2), [0, 1]),
             (CommitAdoptRounds(3), [0, 1, 1]),
+            (RandomizedRounds(2), [0, 1]),
+            (RandomizedRounds(3), [1, 0, 1]),
+            (shared_register_rounds(3, 2), [0, 1, 1]),
         ],
-        ids=["rounds:2", "rounds:3"],
+        ids=["rounds:2", "rounds:3", "randomized:2", "randomized:3",
+             "shared:3:2"],
     )
     def test_cached_hook_equals_uncached(self, protocol, inputs):
         system, configs = random_configs(protocol, inputs, 7, 60, 60)
@@ -154,6 +182,20 @@ class TestCachedQueryKey:
                     assert protocol.canonical_query_key_cached(
                         config, pids, cache
                     ) == protocol.canonical_query_key(config, pids)
+
+    def test_keys_are_pinned(self):
+        """The key values address the valency cache (``stable_digest``)
+        and the frontier-reuse index, so they must not drift: digests of
+        sample configurations' keys, pinned."""
+        from repro.parallel.fingerprint import stable_digest
+
+        for protocol, inputs, expected in PINNED_KEY_DIGESTS:
+            _, configs = random_configs(protocol, inputs, 11, 6, 40)
+            digests = [
+                stable_digest(protocol.canonical_key(config))[:16]
+                for config in configs
+            ]
+            assert digests == expected, protocol.name
 
     def test_default_hook_ignores_cache(self):
         protocol = KSetPartition(4, 2)

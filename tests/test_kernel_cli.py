@@ -110,9 +110,31 @@ class TestStatsKernelTable:
             "spill segments written",
             "rows spilled",
             "interpreter fallbacks",
+            "rows canonicalised packed",
+            "rows canonicalised in Python",
+            "query keys built lazily",
         ):
             line = next(l for l in out.splitlines() if l.startswith(row))
             assert line.rstrip().endswith("0"), line
+
+    def test_round_shift_rows_never_canonicalise_in_python(
+        self, tmp_path, capsys
+    ):
+        """rounds:4 declares its round-shift abstraction, so every novel
+        row is canonicalised packed, and Python query keys are built
+        only for the graphs handed to frontier reuse."""
+        metrics = tmp_path / "metrics.json"
+        rc, _ = run_cli(
+            ["adversary", "rounds:4", "--metrics-out", str(metrics)], capsys
+        )
+        assert rc == 0
+        counters = json.loads(metrics.read_text("utf-8"))["counters"]
+        assert counters["kernel.canon.python"] == 0
+        assert counters["kernel.canon.packed"] > 0
+        assert 0 < counters["kernel.canon.lazy_keys"] <= counters[
+            "kernel.canon.packed"
+        ]
+        assert counters.get("kernel.fallbacks", 0) == 0
 
     def test_kernel_table_lists_fallback_reasons(self, tmp_path, capsys):
         journal = tmp_path / "fellback.jsonl"

@@ -156,6 +156,65 @@ class TestSupervisedMap:
         assert KILL_EXIT_CODE not in (0, 1, 2, 3)
 
 
+# -- the poison-map hang: a dying worker must not wedge the others -----------
+
+
+class TestPoisonMapNeverHangs:
+    """Loop the poison-task map many times under one deadline.
+
+    With one shared result ``Queue`` a worker killed by its poison
+    directive could die while its feeder thread held the queue's
+    cross-process write lock; every other worker's reports then blocked
+    forever and ``map`` polled indefinitely (reproduced at iteration 11
+    of a spawn loop and 199 of a forkserver loop).  Each worker now
+    reports on a private pipe, so the loop must finish.  The forkserver
+    context (with the supervisor preloaded) and the builtin ``abs`` task
+    keep a worker start to a fork, so 200 maps fit in tier-1; several
+    loops run concurrently for the same reason, and to add contention.
+    """
+
+    LOOPS = 4
+    MAPS_PER_LOOP = 50
+    DEADLINE_S = 100.0
+
+    def test_poison_map_loop_completes(self):
+        import threading
+
+        multiprocessing.set_forkserver_preload(["repro.resilience.supervisor"])
+        expected = [abs(x) for x in range(-3, 3)]
+        completed = [0] * self.LOOPS
+        errors = []
+
+        def loop(slot):
+            try:
+                for _ in range(self.MAPS_PER_LOOP):
+                    with SupervisedPool(
+                        2,
+                        mp_context="forkserver",
+                        chaos=ChaosPlan(poison={0}),
+                        max_retries=1,
+                    ) as pool:
+                        assert pool.map(abs, range(-3, 3)) == expected
+                    completed[slot] += 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=loop, args=(slot,), daemon=True)
+            for slot in range(self.LOOPS)
+        ]
+        deadline = time.monotonic() + self.DEADLINE_S
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        assert not errors, errors
+        assert sum(completed) == self.LOOPS * self.MAPS_PER_LOOP, (
+            f"poison map hung: {completed} of {self.MAPS_PER_LOOP} maps "
+            f"per loop done after {self.DEADLINE_S:.0f}s"
+        )
+
+
 # -- graceful close: the S1 regression ---------------------------------------
 
 
